@@ -19,7 +19,7 @@ object ColumnValues {
     */
   def melt(database: String, table: String, df: DataFrame): DataFrame = {
     val structs = df.columns.map { c =>
-      struct(lit(c).as("column"), df.col(c).cast("string").as("value"))
+      struct(lit(c).as("column"), df.col(quoted(c)).cast("string").as("value"))
     }
     df.select(explode(array(structs.toIndexedSeq: _*)).as("cv"))
       .select(
@@ -39,7 +39,12 @@ object ColumnValues {
       lit(id.database).as("database"),
       lit(id.table).as("table"),
       lit(id.column).as("column"),
-      src.col(id.column).cast("string").as("value"),
+      src.col(quoted(id.column)).cast("string").as("value"),
     )
   }
+
+  /** A column name as a backtick-quoted identifier, so names containing `.`
+    * resolve to the column itself rather than a struct field.
+    */
+  private def quoted(name: String): String = "`" + name.replace("`", "``") + "`"
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
@@ -27,15 +26,17 @@ final case class QueryTiming(loadEmbedMs: Double, lookupMs: Double) {
   def totalMs: Double = loadEmbedMs + lookupMs
 }
 
-/** The built index: column embeddings + SimHash buckets, kept both as a
-  * DataFrame (for the batched, fully distributed search path) and as driver
-  * arrays (the in-memory LSH index the paper's system holds for interactive
-  * lookups).
+/** The built index: column embeddings + SimHash buckets held as driver
+  * arrays — the in-memory LSH index the paper's system holds. Every search,
+  * interactive or batch evaluation, goes through [[lookup]].
   */
 final class WarpGateIndex(
     val config: WarpGateConfig,
     val lsh: SimHashLsh,
-    /** (database, table, column, nValues, vec: ml.Vector, bands: Array[Int]) */
+    /** The uncached embedding plan the index was collected from:
+      * (database, table, column, nValues, vec: ml.Vector). Evaluating it
+      * re-runs the melt and the embedding; the index never reads it.
+      */
     val embeddings: DataFrame,
     val columns: Array[ColumnId],
     val vectors: Array[Array[Double]],
@@ -60,17 +61,19 @@ final class WarpGateIndex(
     m
   }
 
-  private val indexByKey: Map[String, Int] = columns.iterator.zipWithIndex.map {
-    case (c, i) => c.key -> i
-  }.toMap
+  /** Candidate keys, the tie-break of equal scores in [[lookup]]. */
+  private val keys: Array[String] = columns.map(_.key)
 
-  def vectorOf(id: ColumnId): Option[Array[Double]] = indexByKey.get(id.key).map(vectors)
+  private val indexOf: Map[ColumnId, Int] = columns.iterator.zipWithIndex.toMap
+
+  def vectorOf(id: ColumnId): Option[Array[Double]] = indexOf.get(id).map(vectors)
 
   /** In-memory LSH probe + exact cosine re-rank (the "index lookup" of
     * Table 2). Candidates sharing at least one band bucket with the query are
     * verified with exact cosine; candidates below the threshold, the query
     * column itself, and columns of the query's own table are dropped; top-k
-    * by similarity is returned.
+    * by similarity is returned, equal scores in ascending candidate key
+    * order, so the answer does not depend on the order of `columns`.
     */
   def lookup(queryVec: Array[Double], query: ColumnId, k: Int,
              sameDatabaseOnly: Boolean = false): Seq[SearchResult] = {
@@ -95,7 +98,8 @@ final class WarpGateIndex(
       }
       b += 1
     }
-    hits.sortBy(-_._2).take(k).map { case (i, s) => SearchResult(query, columns(i), s) }.toSeq
+    hits.sortInPlaceWith { case ((i, s), (j, t)) => s > t || (s == t && keys(i) < keys(j)) }
+    hits.take(k).map { case (i, s) => SearchResult(query, columns(i), s) }.toSeq
   }
 
   /** Full-value query path (Table 2): scan the query column with Spark, embed,
@@ -128,82 +132,20 @@ final class WarpGateIndex(
     val t2  = System.nanoTime()
     (res, QueryTiming((t1 - t0) / 1e6, (t2 - t1) / 1e6))
   }
-
-  /** Batch search for many queries as one distributed dataflow: explode band
-    * hashes on both sides, join on (band, hash) — the DataFrame rendition of
-    * an LSH probe — then exact-cosine re-rank and keep top-k per query.
-    *
-    * Query columns are taken from the index itself (discovery queries are
-    * corpus columns). Returns (queryKey, candidateKey, score, rank).
-    */
-  def searchAll(spark: SparkSession, queryKeys: Seq[String], k: Int,
-                sameDatabaseOnly: Boolean = false): DataFrame = {
-    import spark.implicits._
-    val threshold = config.threshold
-
-    val withKey = embeddings.withColumn(
-      "key", concat_ws(".", col("database"), col("table"), col("column")))
-    val exploded = withKey
-      .select(col("key"), col("database"), col("table"), col("vec"),
-        posexplode(col("bands")).as(Seq("band", "hash")))
-
-    val qKeys = queryKeys.toDF("qkey")
-    val qSide = exploded.join(qKeys, exploded("key") === qKeys("qkey"), "left_semi")
-      .select(col("key").as("qkey"), col("database").as("qdb"), col("table").as("qtable"),
-        col("vec").as("qvec"), col("band"), col("hash"))
-
-    val cSide = exploded.select(col("key").as("ckey"), col("database").as("cdb"),
-      col("table").as("ctable"), col("vec").as("cvec"), col("band"), col("hash"))
-
-    val cosUdf = udf { (a: Vector, b: Vector) => VectorOps.cosine(a.toArray, b.toArray) }
-
-    val scopeFilter =
-      if (sameDatabaseOnly) col("qdb") === col("cdb") &&
-        !(col("qtable") === col("ctable"))
-      else !(col("qdb") === col("cdb") && col("qtable") === col("ctable"))
-
-    val pairs = qSide.join(cSide, Seq("band", "hash"))
-      .filter(scopeFilter)
-      .select("qkey", "ckey", "qvec", "cvec")
-      .dropDuplicates("qkey", "ckey")
-      .withColumn("score", cosUdf(col("qvec"), col("cvec")))
-      .filter(col("score") >= threshold)
-
-    val w = Window.partitionBy("qkey").orderBy(col("score").desc, col("ckey"))
-    pairs
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= k)
-      .select("qkey", "ckey", "score", "rank")
-  }
-
-  /** Collect [[searchAll]] into a driver map query -> ranked candidates. */
-  def searchAllCollected(spark: SparkSession, queryKeys: Seq[String], k: Int,
-                         sameDatabaseOnly: Boolean = false): Map[ColumnId, Seq[SearchResult]] = {
-    searchAll(spark, queryKeys, k, sameDatabaseOnly)
-      .collect()
-      .groupBy(_.getString(0))
-      .map { case (q, rows) =>
-        val qid = ColumnId.fromKey(q)
-        qid -> rows.sortBy(_.getInt(3))
-          .map(r => SearchResult(qid, ColumnId.fromKey(r.getString(1)), r.getDouble(2)))
-          .toSeq
-      }
-  }
 }
 
 /** Index construction (the "indexing pipeline" of Figure 2). */
 object WarpGate {
 
   /** Build the index over a corpus: melt (optionally sampled) -> embed ->
-    * SimHash band hashes -> persist + collect the driver-side index.
+    * collect the column vectors to the driver, where the index computes the
+    * SimHash band hashes.
     */
   def buildIndex(spark: SparkSession, corpus: Corpus, config: WarpGateConfig): WarpGateIndex = {
     val values = corpus.meltAll(config.sampleSize)
     val embDf  = ColumnEmbedder.embedColumns(values, config.model)
-    val lsh    = new SimHashLsh(config.model.dim, config.lsh)
-    val withBands = embDf.withColumn("bands", lsh.bandHashesUdf(col("vec"))).cache()
 
-    val rows = withBands.select("database", "table", "column", "vec").collect()
+    val rows = embDf.select("database", "table", "column", "vec").collect()
     val cols = rows.map(r => ColumnId(r.getString(0), r.getString(1), r.getString(2)))
     val vecs = rows.map(_.getAs[Vector]("vec").toArray)
 
@@ -221,6 +163,7 @@ object WarpGate {
           .toMap
     }
 
-    new WarpGateIndex(config, lsh, withBands, cols, vecs, sampleCache)
+    new WarpGateIndex(config, new SimHashLsh(config.model.dim, config.lsh), embDf, cols, vecs,
+      sampleCache)
   }
 }

@@ -59,7 +59,6 @@ object Reports {
 
     val (wg, _)    = EvalRunner.buildWarpGate(spark, ec, WarpGateConfig())
     val wgTimes    = EvalRunner.warpGateTimings(ec, wg, queries, k)
-    wg.embeddings.unpersist()
 
     val (aurum, _) = EvalRunner.buildAurum(spark, ec)
     val auTimes    = EvalRunner.aurumTimings(ec, aurum, queries, k)
@@ -81,7 +80,6 @@ object Reports {
                        aurumCfg: Aurum.Config = Aurum.Config()): Seq[PrReport] = {
     val (wg, _) = EvalRunner.buildWarpGate(spark, ec, WarpGateConfig())
     val wgPr    = EvalRunner.warpGateEffectiveness(spark, ec, wg, ks)
-    wg.embeddings.unpersist()
 
     val (au, _) = EvalRunner.buildAurum(spark, ec, aurumCfg)
     val auPr    = EvalRunner.aurumEffectiveness(ec, au, ks)
@@ -115,7 +113,6 @@ object Reports {
       val pr       = EvalRunner.warpGateEffectiveness(spark, ec, wg, ks)
       val queries  = EvalRunner.timingQueries(ec, nTimingQueries)
       val timing   = EvalRunner.warpGateTimings(ec, wg, queries, 10)
-      wg.embeddings.unpersist()
       SampleRow(ec.corpus.name, model.name, n.map(_.toString).getOrElse("full"), pr, timing)
     }
   }

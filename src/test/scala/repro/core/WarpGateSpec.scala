@@ -15,7 +15,7 @@ class WarpGateSpec extends SparkSpec {
 
   test("index holds one embedding per corpus column") {
     assert(index.columns.length == spec.tables.map(_.columns.size).sum)
-    assert(index.embeddings.count() == index.columns.length)
+    assert(index.columns.distinct.length == index.columns.length)
   }
 
   test("index vectors have the model dimension") {
@@ -100,28 +100,95 @@ class WarpGateSpec extends SparkSpec {
     assert(full == sampled)
   }
 
-  test("searchAll agrees with the driver lookup path") {
-    val queries = spec.queries.map(_.key)
-    val batched = index.searchAllCollected(spark, queries, k = 5)
+  /** Brute-force reference for `lookup`: exact cosine against every
+    * in-scope column, at or above the threshold, top-k by score and then key.
+    */
+  private def exactTopK(ix: WarpGateIndex, q: ColumnId, k: Int,
+                        sameDatabaseOnly: Boolean = false): Seq[ColumnId] = {
+    val v = ix.vectorOf(q).get
+    ix.columns.indices
+      .filter { i =>
+        val c = ix.columns(i)
+        !(c.database == q.database && c.table == q.table) &&
+          (!sameDatabaseOnly || c.database == q.database)
+      }
+      .map(i => (ix.columns(i), VectorOps.cosine(v, ix.vectors(i))))
+      .filter(_._2 >= ix.config.threshold)
+      .sortBy { case (c, s) => (-s, c.key) }
+      .take(k)
+      .map(_._1)
+  }
+
+  private def topK(ix: WarpGateIndex, q: ColumnId, k: Int,
+                   sameDatabaseOnly: Boolean = false): Seq[ColumnId] =
+    ix.lookup(ix.vectorOf(q).get, q, k, sameDatabaseOnly).map(_.candidate)
+
+  test("lookup top-k equals the exact-scan top-k on the tiny corpus") {
     spec.queries.foreach { q =>
-      val driver = index.lookup(index.vectorOf(q).get, q, 5).map(_.candidate.key)
-      val df     = batched.getOrElse(q, Seq.empty).map(_.candidate.key)
-      assert(driver == df, s"mismatch for ${q.key}: driver=$driver batched=$df")
+      assert(topK(index, q, 5) == exactTopK(index, q, 5), s"mismatch for ${q.key}")
     }
   }
 
-  test("searchAll scores equal exact cosine of stored vectors") {
-    val batched = index.searchAllCollected(spark, Seq(qCompany.key), k = 5)
-    batched(qCompany).foreach { r =>
+  test("lookup scores equal exact cosine of stored vectors") {
+    val res = index.lookup(index.vectorOf(qCompany).get, qCompany, k = 5)
+    assert(res.nonEmpty)
+    res.foreach { r =>
       val expect = VectorOps.cosine(index.vectorOf(qCompany).get, index.vectorOf(r.candidate).get)
       assert(math.abs(r.score - expect) < 1e-9)
     }
   }
 
-  test("searchAll honors per-database scoping") {
-    val batched = index.searchAllCollected(spark, Seq(qCompany.key), k = 10, sameDatabaseOnly = true)
-    batched.getOrElse(qCompany, Seq.empty).foreach(r =>
-      assert(r.candidate.database == qCompany.database))
+  test("lookup per-database scoping equals the scoped exact scan") {
+    spec.queries.foreach { q =>
+      val got = topK(index, q, 10, sameDatabaseOnly = true)
+      assert(got.forall(_.database == q.database), s"${q.key}: $got")
+      assert(got == exactTopK(index, q, 10, sameDatabaseOnly = true), s"${q.key}")
+    }
+  }
+
+  /** Two tables holding the same column values: their columns tie on score
+    * for any query.
+    */
+  private lazy val tieIndex = {
+    import spark.implicits._
+    val names = Seq("Acme Corp", "Globex Inc", "Initech LLC", "Umbrella Co", "Hooli Ltd")
+    val twin  = names.toDF("org")
+    val corpus = Corpus("ties", Seq(
+      CorpusTable("db", "query", names.reverse.toDF("name")),
+      CorpusTable("db", "zeta", twin),
+      CorpusTable("db", "alpha", twin),
+    ))
+    WarpGate.buildIndex(spark, corpus, WarpGateConfig())
+  }
+  private val qTie = ColumnId("db", "query", "name")
+
+  test("equal scores are returned in candidate key order") {
+    val res = tieIndex.lookup(tieIndex.vectorOf(qTie).get, qTie, k = 5)
+    assert(res.map(_.candidate) == Seq(ColumnId("db", "alpha", "org"), ColumnId("db", "zeta", "org")))
+    assert(res(0).score == res(1).score)
+  }
+
+  test("top-k does not depend on the order of the index columns") {
+    Seq(index -> spec.queries, tieIndex -> Seq(qTie)).foreach { case (ix, queries) =>
+      val reversed = new WarpGateIndex(ix.config, ix.lsh, ix.embeddings,
+        ix.columns.reverse, ix.vectors.reverse, ix.sampleCache)
+      queries.foreach(q => assert(topK(reversed, q, 10) == topK(ix, q, 10), s"${q.key}"))
+    }
+  }
+
+  test("a column name containing a dot is melted, indexed and queried") {
+    import spark.implicits._
+    val names  = Seq("Acme Corp", "Globex Inc", "Initech LLC", "Umbrella Co")
+    val dotted = ColumnId("db", "left", "a.b")
+    val plain  = ColumnId("db", "right", "org")
+    val corpus = Corpus("dots", Seq(
+      CorpusTable("db", "left", names.toDF("a.b")),
+      CorpusTable("db", "right", names.reverse.toDF("org")),
+    ))
+    val ix = WarpGate.buildIndex(spark, corpus, WarpGateConfig())
+    assert(ix.columns.toSet == Set(dotted, plain))
+    assert(ix.queryFull(corpus, plain, k = 5)._1.map(_.candidate) == Seq(dotted))
+    assert(ix.queryFull(corpus, dotted, k = 5)._1.map(_.candidate) == Seq(plain))
   }
 
   test("a higher threshold prunes more candidates") {
@@ -131,7 +198,6 @@ class WarpGateSpec extends SparkSpec {
     val loose  = index.lookup(index.vectorOf(qCompany).get, qCompany, 10)
     val tight  = strict.lookup(vec, qCompany, 10)
     assert(tight.size <= loose.size)
-    strict.embeddings.unpersist()
   }
 
   test("ColumnId key round-trips") {

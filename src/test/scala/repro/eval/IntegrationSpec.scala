@@ -103,7 +103,6 @@ class IntegrationSpec extends SparkSpec {
       "qt" -> qDf, "ct" -> cDf)
     // and the join is non-trivial
     assert(joined.collect()(0).getLong(0) > 0)
-    index.embeddings.unpersist()
   }
 
   test("timing: Aurum answers from the graph orders of magnitude faster (Table 2 ordering)") {
@@ -111,7 +110,6 @@ class IntegrationSpec extends SparkSpec {
 
     val (wg, _) = EvalRunner.buildWarpGate(spark, xs, WarpGateConfig())
     val wgT = EvalRunner.warpGateTimings(xs, wg, queries, 10)
-    wg.embeddings.unpersist()
 
     val (au, _) = EvalRunner.buildAurum(spark, xs)
     val auT = EvalRunner.aurumTimings(xs, au, queries, 10)
@@ -129,7 +127,6 @@ class IntegrationSpec extends SparkSpec {
     val t = EvalRunner.warpGateTimings(xs, wg, queries, 10)
     assert(t.avgLookupSec < 0.5 * t.avgTotalSec,
       s"lookup=${t.avgLookupSec} total=${t.avgTotalSec}")
-    wg.embeddings.unpersist()
   }
 
   test("sampling: effectiveness within a few points of full values (§4.4)") {

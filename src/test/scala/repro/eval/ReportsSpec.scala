@@ -56,6 +56,15 @@ class ReportsSpec extends SparkSpec {
     assert(a.size == 3)
   }
 
+  test("warpGateEffectiveness rejects a query column the index does not hold") {
+    val index   = repro.core.WarpGate.buildIndex(spark, ec.corpus, repro.core.WarpGateConfig())
+    val unknown = repro.core.ColumnId("dbA", "accounts", "missing")
+    val withUnknown = ec.copy(spec = ec.spec.copy(queries = ec.spec.queries :+ unknown))
+    val err = intercept[NoSuchElementException](
+      EvalRunner.warpGateEffectiveness(spark, withUnknown, index, Seq(1)))
+    assert(err.getMessage.contains(unknown.key))
+  }
+
   test("benchCorpus rejects unknown corpus names") {
     intercept[IllegalArgumentException](Reports.benchCorpus(spark, "nope"))
   }
