@@ -62,6 +62,7 @@ object Aurum {
     val sigMap = sigs.select("database", "table", "column", "sig").collect().map { r =>
       ColumnId(r.getString(0), r.getString(1), r.getString(2)).key -> r.getAs[Vector]("sig").toArray
     }.toMap
+    sigs.unpersist()
 
     val adj = mutable.Map[ColumnId, mutable.ArrayBuffer[(ColumnId, Double)]]()
     pairs.foreach { row =>

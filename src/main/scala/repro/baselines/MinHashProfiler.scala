@@ -13,7 +13,7 @@ import scala.util.hashing.MurmurHash3
   * a column's signature is the componentwise minimum, computed distributed:
   * a UDF maps each cell to its 128 permuted hashes as an ml.Vector and Spark
   * ML `Summarizer.min` takes the per-column minima with map-side partial
-  * aggregation (same dataflow shape as the embedding stage).
+  * aggregation.
   */
 final class MinHashProfiler(val numHashes: Int = 128, seed: Int = 77) extends Serializable {
   private val P: Long = 2147483647L // 2^31 - 1, Mersenne prime

@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
 /** WarpGate configuration.
@@ -28,14 +26,15 @@ final case class QueryTiming(loadEmbedMs: Double, lookupMs: Double) {
 
 /** The built index: column embeddings + SimHash buckets held as driver
   * arrays — the in-memory LSH index the paper's system holds. Every search,
-  * interactive or batch evaluation, goes through [[lookup]].
+  * interactive or batch evaluation, goes through one probe: [[lookup]] for a
+  * query vector, [[lookupIndexed]] for a column the index holds.
   */
 final class WarpGateIndex(
     val config: WarpGateConfig,
     val lsh: SimHashLsh,
-    /** The uncached embedding plan the index was collected from:
-      * (database, table, column, nValues, vec: ml.Vector). Evaluating it
-      * re-runs the melt and the embedding; the index never reads it.
+    /** The uncached melt plan the index was embedded from:
+      * (database, table, column, value). Evaluating it re-runs the melt; the
+      * index never reads it.
       */
     val embeddings: DataFrame,
     val columns: Array[ColumnId],
@@ -44,22 +43,26 @@ final class WarpGateIndex(
     val sampleCache: Map[String, Array[String]],
 ) extends Serializable {
 
+  /** Per-column band hashes and L2 norms, computed once. */
+  private val hashes: Array[Array[Int]] = vectors.map(lsh.bandHashes)
+  private val norms: Array[Double]      = vectors.map(VectorOps.norm)
+
   /** bucket key (band, hash) -> column indices */
-  private val buckets: mutable.LongMap[mutable.ArrayBuffer[Int]] = {
-    val m = new mutable.LongMap[mutable.ArrayBuffer[Int]]()
+  private val buckets: mutable.LongMap[Array[Int]] = {
+    val m = new mutable.LongMap[mutable.ArrayBuilder.ofInt]()
     var i = 0
     while (i < columns.length) {
-      val hashes = lsh.bandHashes(vectors(i))
       var b = 0
-      while (b < hashes.length) {
-        m.getOrElseUpdate((b.toLong << 32) | (hashes(b).toLong & 0xffffffffL),
-          new mutable.ArrayBuffer[Int]) += i
+      while (b < hashes(i).length) {
+        m.getOrElseUpdate(bucketKey(b, hashes(i)(b)), new mutable.ArrayBuilder.ofInt) += i
         b += 1
       }
       i += 1
     }
-    m
+    m.mapValuesNow(_.result())
   }
+
+  private def bucketKey(band: Int, hash: Int): Long = (band.toLong << 32) | (hash.toLong & 0xffffffffL)
 
   /** Candidate keys, the tie-break of equal scores in [[lookup]]. */
   private val keys: Array[String] = columns.map(_.key)
@@ -76,25 +79,43 @@ final class WarpGateIndex(
     * order, so the answer does not depend on the order of `columns`.
     */
   def lookup(queryVec: Array[Double], query: ColumnId, k: Int,
-             sameDatabaseOnly: Boolean = false): Seq[SearchResult] = {
-    val hashes = lsh.bandHashes(queryVec)
-    val seen   = new java.util.BitSet(columns.length)
-    val hits   = new mutable.ArrayBuffer[(Int, Double)]()
+             sameDatabaseOnly: Boolean = false): Seq[SearchResult] =
+    probe(lsh.bandHashes(queryVec), queryVec, VectorOps.norm(queryVec), query, k, sameDatabaseOnly)
+
+  /** [[lookup]] of a column the index holds, probed with its stored vector,
+    * band hashes and norm. Throws NoSuchElementException for any other column.
+    */
+  def lookupIndexed(query: ColumnId, k: Int, sameDatabaseOnly: Boolean = false): Seq[SearchResult] = {
+    val i = indexOf.getOrElse(query,
+      throw new NoSuchElementException(s"query column ${query.key} is not in the index"))
+    probe(hashes(i), vectors(i), norms(i), query, k, sameDatabaseOnly)
+  }
+
+  /** Scores are `dot(q, v) / (|q| * |v|)` with both norms precomputed, which
+    * is [[VectorOps.cosine]] bit for bit.
+    */
+  private def probe(qHashes: Array[Int], queryVec: Array[Double], qNorm: Double, query: ColumnId,
+                    k: Int, sameDatabaseOnly: Boolean): Seq[SearchResult] = {
+    val seen = new java.util.BitSet(columns.length)
+    val hits = new mutable.ArrayBuffer[(Int, Double)]()
     var b = 0
-    while (b < hashes.length) {
-      buckets.get((b.toLong << 32) | (hashes(b).toLong & 0xffffffffL)).foreach { ids =>
-        ids.foreach { i =>
-          if (!seen.get(i)) {
-            seen.set(i)
-            val c = columns(i)
-            val inScope = !(c.database == query.database && c.table == query.table) &&
-              (!sameDatabaseOnly || c.database == query.database)
-            if (inScope) {
-              val s = VectorOps.cosine(queryVec, vectors(i))
-              if (s >= config.threshold) hits += ((i, s))
-            }
+    while (b < qHashes.length) {
+      val ids = buckets.getOrNull(bucketKey(b, qHashes(b)))
+      var j = 0
+      while (ids != null && j < ids.length) {
+        val i = ids(j)
+        if (!seen.get(i)) {
+          seen.set(i)
+          val c = columns(i)
+          val inScope = !(c.database == query.database && c.table == query.table) &&
+            (!sameDatabaseOnly || c.database == query.database)
+          if (inScope) {
+            val s = if (qNorm == 0.0 || norms(i) == 0.0) 0.0
+                    else VectorOps.dot(queryVec, vectors(i)) / (qNorm * norms(i))
+            if (s >= config.threshold) hits += ((i, s))
           }
         }
+        j += 1
       }
       b += 1
     }
@@ -138,32 +159,32 @@ final class WarpGateIndex(
 object WarpGate {
 
   /** Build the index over a corpus: melt (optionally sampled) -> embed ->
-    * collect the column vectors to the driver, where the index computes the
-    * SimHash band hashes.
+    * the column vectors on the driver, where the index computes the SimHash
+    * band hashes. A full-value build is one shuffle-free Spark job
+    * ([[ColumnEmbedder.columnMeans]]). A sampled build reads its sample once,
+    * into `sampleCache`, and embeds each column's cached rows on the driver
+    * with [[ColumnEmbedder.embedValuesLocal]] — the rows embedded for the
+    * index are the rows the sampled query path embeds.
     */
   def buildIndex(spark: SparkSession, corpus: Corpus, config: WarpGateConfig): WarpGateIndex = {
     val values = corpus.meltAll(config.sampleSize)
-    val embDf  = ColumnEmbedder.embedColumns(values, config.model)
 
-    val rows = embDf.select("database", "table", "column", "vec").collect()
-    val cols = rows.map(r => ColumnId(r.getString(0), r.getString(1), r.getString(2)))
-    val vecs = rows.map(_.getAs[Vector]("vec").toArray)
-
-    val sampleCache: Map[String, Array[String]] = config.sampleSize match {
-      case None => Map.empty
-      case Some(n) =>
-        corpus.meltAll(Some(n))
-          .groupBy("database", "table", "column")
-          .agg(collect_list(col("value")).as("vals"))
-          .collect()
-          .map { r =>
-            val key = ColumnId(r.getString(0), r.getString(1), r.getString(2)).key
-            key -> r.getSeq[String](3).toArray
-          }
-          .toMap
+    val (cols, vecs, sampleCache) = config.sampleSize match {
+      case None =>
+        val means = ColumnEmbedder.columnMeans(values, config.model)
+        (means.map(_.id), means.map(_.vec), Map.empty[String, Array[String]])
+      case Some(_) =>
+        val sample = mutable.LinkedHashMap[ColumnId, mutable.ArrayBuffer[String]]()
+        values.select("database", "table", "column", "value").collect().foreach { r =>
+          sample.getOrElseUpdate(ColumnId(r.getString(0), r.getString(1), r.getString(2)),
+            mutable.ArrayBuffer[String]()) += r.getString(3)
+        }
+        (sample.keys.toArray,
+          sample.values.map(v => ColumnEmbedder.embedValuesLocal(v, config.model)).toArray,
+          sample.iterator.map { case (id, v) => id.key -> v.toArray }.toMap)
     }
 
-    new WarpGateIndex(config, new SimHashLsh(config.model.dim, config.lsh), embDf, cols, vecs,
+    new WarpGateIndex(config, new SimHashLsh(config.model.dim, config.lsh), values, cols, vecs,
       sampleCache)
   }
 }

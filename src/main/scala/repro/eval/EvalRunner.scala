@@ -9,7 +9,7 @@ import repro.eval.Metrics.PrAtK
 /** End-to-end runners: build each system over an [[EvalCorpus]], run all
   * queries, and report effectiveness (Figure 4) and per-phase timings
   * (Table 2). Effectiveness paths avoid per-query rescans (WarpGate probes
-  * its driver-side index with each query's stored vector through `lookup`;
+  * its driver-side index with each query's stored vector and band hashes;
   * baselines use stored profiles); timing paths measure the interactive
   * per-query pipeline the paper reports.
   */
@@ -42,17 +42,16 @@ object EvalRunner {
   def buildWarpGate(spark: SparkSession, ec: EvalCorpus, cfg: WarpGateConfig): (WarpGateIndex, Double) =
     timed(WarpGate.buildIndex(spark, ec.corpus, cfg))
 
-  /** Effectiveness via the driver `lookup`, each query probed with its own
-    * index vector; no Spark job runs (`spark` is unused). Throws
-    * NoSuchElementException for a query column the index does not hold.
+  /** Effectiveness via the driver index, each query probed with its own
+    * stored vector and band hashes (`lookupIndexed`); no Spark job runs
+    * (`spark` is unused). Throws NoSuchElementException for a query column
+    * the index does not hold.
     */
   def warpGateEffectiveness(spark: SparkSession, ec: EvalCorpus, index: WarpGateIndex,
                             ks: Seq[Int]): Seq[PrAtK] = {
     val kMax = ks.max
     val res = ec.queries.map { q =>
-      val vec = index.vectorOf(q).getOrElse(
-        throw new NoSuchElementException(s"query column ${q.key} is not in the index"))
-      q -> index.lookup(vec, q, kMax, ec.sameDatabaseOnly).map(_.candidate)
+      q -> index.lookupIndexed(q, kMax, ec.sameDatabaseOnly).map(_.candidate)
     }.toMap
     Metrics.evaluate(res, ec.answers, ec.queries, ks)
   }

@@ -94,4 +94,11 @@ class AurumSpec extends SparkSpec {
     val (res, _) = index.query(ColumnId("no", "such", "col"), 5)
     assert(res.isEmpty)
   }
+
+  test("a build leaves no persisted RDD behind") {
+    corpus.tables.foreach(_.df.count()) // materialize the corpus' own cache first
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    Aurum.build(spark, corpus)
+    assert(spark.sparkContext.getPersistentRDDs.keySet -- before == Set.empty)
+  }
 }

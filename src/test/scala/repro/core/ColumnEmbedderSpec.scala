@@ -62,6 +62,28 @@ class ColumnEmbedderSpec extends SparkSpec {
     assert(VectorOps.cosine(company, date) < 0.5)
   }
 
+  test("accumulator means equal driver-side means across partitions") {
+    val melted = corpus.meltAll(None).repartition(4)
+    assert(melted.rdd.getNumPartitions >= 3)
+    val values = melted.collect()
+      .groupBy(r => ColumnId(r.getString(0), r.getString(1), r.getString(2)))
+      .map { case (id, rows) => id -> rows.map(_.getString(3)).toSeq }
+    val means = ColumnEmbedder.columnMeans(melted, model)
+    assert(means.map(_.id).toSet == values.keySet)
+    means.foreach { m =>
+      assert(m.nValues == values(m.id).size.toLong)
+      val local = ColumnEmbedder.embedValuesLocal(values(m.id), model)
+      m.vec.zip(local).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12, m.id.key) }
+    }
+  }
+
+  test("embedColumnSpark of an empty column is the zero vector") {
+    val id    = ColumnId("dbA", "leads", "firm")
+    val empty = corpus.table("dbA", "leads").df.limit(0)
+    val vec   = ColumnEmbedder.embedColumnSpark(id, empty, model)
+    assert(vec.length == model.dim && vec.forall(_ == 0.0))
+  }
+
   test("sampled embeddings stay close to full embeddings (robustness)") {
     val id    = ColumnId("dbA", "accounts", "company")
     val table = corpus.table("dbA", "accounts").df

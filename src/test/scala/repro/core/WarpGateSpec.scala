@@ -1,7 +1,10 @@
 package repro.core
 
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
 import repro.SparkSpec
 import repro.TestCorpora
+import scala.collection.mutable
 
 class WarpGateSpec extends SparkSpec {
 
@@ -77,6 +80,43 @@ class WarpGateSpec extends SparkSpec {
     assert(t.totalMs >= t.loadEmbedMs)
   }
 
+  /** Stage count of each Spark job `body` runs, and the shuffle bytes its
+    * stages write.
+    */
+  private def sparkWork(body: => Unit): (Seq[Int], Long) = {
+    val sc = spark.sparkContext
+    val stages  = mutable.ArrayBuffer[Int]()
+    var shuffle = 0L
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        stages.synchronized { stages += e.stageInfos.size }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        stages.synchronized {
+          shuffle += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+        }
+    }
+    ListenerBusAccess.waitUntilEmpty(sc)
+    sc.addSparkListener(listener)
+    try { body; ListenerBusAccess.waitUntilEmpty(sc) }
+    finally sc.removeSparkListener(listener)
+    stages.synchronized((stages.toSeq, shuffle))
+  }
+
+  test("queryFull runs one Spark job with no shuffle") {
+    index.queryFull(corpus, qCompany, k = 5) // the corpus table is cached by now
+    val (jobs, shuffleBytes) = sparkWork(index.queryFull(corpus, qCompany, k = 5))
+    assert(jobs == Seq(1), s"stages per job: $jobs")
+    assert(shuffleBytes == 0L)
+  }
+
+  test("lookupIndexed equals lookup with the stored vector for every query") {
+    for (q <- spec.queries; sdo <- Seq(false, true)) {
+      assert(index.lookupIndexed(q, 10, sdo) == index.lookup(index.vectorOf(q).get, q, 10, sdo),
+        s"${q.key} sameDatabaseOnly=$sdo")
+    }
+    intercept[NoSuchElementException](index.lookupIndexed(ColumnId("x", "y", "z"), 10))
+  }
+
   test("querySampled requires a sampled index") {
     intercept[IllegalStateException](index.querySampled(qCompany, 3))
   }
@@ -90,6 +130,15 @@ class WarpGateSpec extends SparkSpec {
   test("sampled index caches one sample per column") {
     assert(sampledIndex.sampleCache.size == index.columns.length)
     assert(sampledIndex.sampleCache.values.forall(_.length <= 50))
+  }
+
+  test("sampled index vectors are the driver-side means of the cached samples") {
+    sampledIndex.columns.indices.foreach { i =>
+      val sample = sampledIndex.sampleCache(sampledIndex.columns(i).key)
+      assert(sampledIndex.vectors(i).toSeq ==
+        ColumnEmbedder.embedValuesLocal(sample, sampledIndex.config.model).toSeq,
+        sampledIndex.columns(i).key)
+    }
   }
 
   test("sampled index effectiveness matches full index on the tiny corpus") {

@@ -23,6 +23,11 @@ class IntegrationSpec extends SparkSpec {
 
   private lazy val xsReports     = Reports.effectivenessAll(spark, xs, ks)
   private lazy val spiderReports = Reports.effectivenessAll(spark, spider, ks)
+  /** The full-value XS index, shared by the join-path and timing tests. */
+  private lazy val xsWarpGate    = EvalRunner.buildWarpGate(spark, xs, WarpGateConfig())._1
+  /** §4.4 sample efficiency on XS, shared by the two sampling tests. */
+  private lazy val xsSampling    = Reports.sampleEfficiency(spark, xs, new WebTableEmbeddingModel(),
+    Seq(Some(100), None), Seq(10), 5)
 
   private def pr(reports: Seq[Reports.PrReport], system: String, k: Int): Metrics.PrAtK =
     reports.find(_.system == system).get.pr.find(_.k == k).get
@@ -85,7 +90,7 @@ class IntegrationSpec extends SparkSpec {
     // Take WarpGate's top recommendation for an XS query and actually join
     // the two tables on the discovered columns, validating against DuckDB —
     // the Lookup feature's cardinality-preserving join (§2.1).
-    val index = WarpGate.buildIndex(spark, xs.corpus, WarpGateConfig())
+    val index = xsWarpGate
     val q = xs.queries.find { q =>
       index.lookup(index.vectorOf(q).get, q, 1).nonEmpty
     }.get
@@ -108,8 +113,7 @@ class IntegrationSpec extends SparkSpec {
   test("timing: Aurum answers from the graph orders of magnitude faster (Table 2 ordering)") {
     val queries = EvalRunner.timingQueries(xs, 5)
 
-    val (wg, _) = EvalRunner.buildWarpGate(spark, xs, WarpGateConfig())
-    val wgT = EvalRunner.warpGateTimings(xs, wg, queries, 10)
+    val wgT = EvalRunner.warpGateTimings(xs, xsWarpGate, queries, 10)
 
     val (au, _) = EvalRunner.buildAurum(spark, xs)
     val auT = EvalRunner.aurumTimings(xs, au, queries, 10)
@@ -123,15 +127,13 @@ class IntegrationSpec extends SparkSpec {
 
   test("timing: WarpGate lookup is a minority of its end-to-end time") {
     val queries = EvalRunner.timingQueries(xs, 5)
-    val (wg, _) = EvalRunner.buildWarpGate(spark, xs, WarpGateConfig())
-    val t = EvalRunner.warpGateTimings(xs, wg, queries, 10)
+    val t = EvalRunner.warpGateTimings(xs, xsWarpGate, queries, 10)
     assert(t.avgLookupSec < 0.5 * t.avgTotalSec,
       s"lookup=${t.avgLookupSec} total=${t.avgTotalSec}")
   }
 
   test("sampling: effectiveness within a few points of full values (§4.4)") {
-    val rows = Reports.sampleEfficiency(spark, xs, new WebTableEmbeddingModel(),
-      Seq(Some(100), None), Seq(10), 5)
+    val rows = xsSampling
     val sampled = rows.find(_.sampleSize == "100").get.pr.head
     val full    = rows.find(_.sampleSize == "full").get.pr.head
     assert(math.abs(sampled.recall - full.recall) < 0.1,
@@ -140,8 +142,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("sampling: sampled query path is far faster than full scans (§4.4)") {
-    val rows = Reports.sampleEfficiency(spark, xs, new WebTableEmbeddingModel(),
-      Seq(Some(100), None), Seq(10), 5)
+    val rows = xsSampling
     val sampled = rows.find(_.sampleSize == "100").get.timing.avgTotalSec
     val full    = rows.find(_.sampleSize == "full").get.timing.avgTotalSec
     assert(sampled < full / 5, s"sampled=$sampled full=$full")
