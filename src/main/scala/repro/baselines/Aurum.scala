@@ -1,9 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{ColumnId, Corpus, QueryTiming, SearchResult}
+import org.apache.spark.sql.SparkSession
+import repro.core.{BandIndex, ColumnId, Corpus, QueryTiming, SearchResult}
 import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
@@ -16,8 +14,11 @@ import scala.util.hashing.MurmurHash3
   * purely syntactic and Jaccard punishes cardinality-asymmetric joins, which
   * is why it trails in Figure 4.
   *
-  * Edge discovery runs as a banded MinHash-LSH DataFrame self-join (the same
-  * distributed dataflow shape as WarpGate's search), not a driver loop.
+  * Profiling is one shuffle-free Spark job ([[MinHashProfiler.signatures]]).
+  * Edge discovery is banded MinHash-LSH on the driver, over the same
+  * [[BandIndex]] WarpGate probes: each column probes the index with its own
+  * band hashes, and every cross-table candidate is verified with the
+  * estimated Jaccard of the two signatures.
   */
 object Aurum {
 
@@ -32,9 +33,11 @@ object Aurum {
   final class Index(
       val config: Config,
       val profiler: MinHashProfiler,
-      /** adjacency: column -> (neighbor, estimated Jaccard), sorted desc */
+      /** adjacency: column -> (neighbor, estimated Jaccard), by descending
+        * weight, equal weights in ascending neighbor key order
+        */
       val graph: Map[ColumnId, Seq[(ColumnId, Double)]],
-      val signatures: Map[String, Array[Double]],
+      val signatures: Map[ColumnId, Array[Double]],
   ) {
     /** Graph lookup. Aurum has no native top-k ranking; like the paper we
       * truncate its neighbor set to k (by edge weight) for comparability.
@@ -55,56 +58,37 @@ object Aurum {
     require(config.bands * config.rowsPerBand == config.numHashes,
       "bands * rowsPerBand must equal numHashes")
     val profiler = new MinHashProfiler(config.numHashes)
-    val sigs = profiler.signatures(corpus.meltAll(None)).cache()
-
-    val pairs = candidatePairs(sigs, config).collect()
-
-    val sigMap = sigs.select("database", "table", "column", "sig").collect().map { r =>
-      ColumnId(r.getString(0), r.getString(1), r.getString(2)).key -> r.getAs[Vector]("sig").toArray
-    }.toMap
-    sigs.unpersist()
+    val sigs     = profiler.signatures(corpus.meltAll(None))
+    val hashes   = sigs.map(s => bandHashes(s.acc, config))
+    val buckets  = new BandIndex(hashes)
 
     val adj = mutable.Map[ColumnId, mutable.ArrayBuffer[(ColumnId, Double)]]()
-    pairs.foreach { row =>
-      val a   = ColumnId.fromKey(row.getString(0))
-      val b   = ColumnId.fromKey(row.getString(1))
-      val est = profiler.estimateJaccard(sigMap(a.key), sigMap(b.key))
-      if (est >= config.threshold) {
-        adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += ((b, est))
-        adj.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += ((a, est))
+    sigs.indices.foreach { i =>
+      val a = sigs(i).id
+      buckets.foreachCandidate(hashes(i)) { j =>
+        val b = sigs(j).id
+        if (j > i && !(a.database == b.database && a.table == b.table)) {
+          val est = profiler.estimateJaccard(sigs(i).acc, sigs(j).acc)
+          if (est >= config.threshold) {
+            adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += ((b, est))
+            adj.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += ((a, est))
+          }
+        }
       }
     }
-    val graph = adj.map { case (k, v) => k -> v.sortBy(-_._2).toSeq }.toMap
-    new Index(config, profiler, graph, sigMap)
+    val graph = adj.map { case (k, v) => k -> v.sortBy { case (c, w) => (-w, c.key) }.toSeq }.toMap
+    new Index(config, profiler, graph, sigs.iterator.map(s => s.id -> s.acc).toMap)
   }
 
-  /** Banded-LSH candidate pairs (akey < bkey), cross-table only. */
-  private[baselines] def candidatePairs(sigs: DataFrame, config: Config): DataFrame = {
-    val bands = config.bands
-    val rpb   = config.rowsPerBand
-    val bandUdf = udf { (sig: Vector) =>
-      val arr = sig.toArray
-      Array.tabulate(bands) { b =>
-        var h = MurmurHash3.mix(0x51ab, b)
-        var r = 0
-        while (r < rpb) { h = MurmurHash3.mix(h, arr(b * rpb + r).toLong.hashCode()); r += 1 }
-        MurmurHash3.finalizeHash(h, rpb)
+  /** Per-band murmur hash of a signature's `rowsPerBand` components. */
+  private[baselines] def bandHashes(sig: Array[Double], config: Config): Array[Int] =
+    Array.tabulate(config.bands) { b =>
+      var h = MurmurHash3.mix(0x51ab, b)
+      var r = 0
+      while (r < config.rowsPerBand) {
+        h = MurmurHash3.mix(h, sig(b * config.rowsPerBand + r).toLong.hashCode())
+        r += 1
       }
+      MurmurHash3.finalizeHash(h, config.rowsPerBand)
     }
-    val exploded = sigs
-      .withColumn("key", concat_ws(".", col("database"), col("table"), col("column")))
-      .select(col("key"), col("database").as("db"), col("table").as("tbl"),
-        posexplode(bandUdf(col("sig"))).as(Seq("band", "hash")))
-
-    val left  = exploded.select(col("key").as("akey"), col("db").as("adb"),
-      col("tbl").as("atbl"), col("band"), col("hash"))
-    val right = exploded.select(col("key").as("bkey"), col("db").as("bdb"),
-      col("tbl").as("btbl"), col("band"), col("hash"))
-
-    left.join(right, Seq("band", "hash"))
-      .filter(col("akey") < col("bkey"))
-      .filter(!(col("adb") === col("bdb") && col("atbl") === col("btbl")))
-      .select("akey", "bkey")
-      .distinct()
-  }
 }

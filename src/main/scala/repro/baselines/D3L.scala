@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
@@ -40,7 +39,7 @@ object D3L {
       val profiler: MinHashProfiler,
       val model: EmbeddingModel,
   ) {
-    val byKey: Map[String, Profile] = profiles.map(p => p.id.key -> p).toMap
+    val byId: Map[ColumnId, Profile] = profiles.map(p => p.id -> p).toMap
 
     /** Score a query profile against every other column; top-k by mean
       * evidence. Used by both the cached (effectiveness) and re-profiled
@@ -72,7 +71,7 @@ object D3L {
 
     /** Effectiveness path: the query's stored profile, no rescans. */
     def queryCached(id: ColumnId, k: Int, sameDatabaseOnly: Boolean = false): Seq[SearchResult] =
-      rank(byKey(id.key), k, sameDatabaseOnly)
+      rank(byId(id), k, sameDatabaseOnly)
 
     /** Timing path (Table 2): re-profile the query column with the same four
       * Spark scans the indexing pass used, then rank.
@@ -124,25 +123,26 @@ object D3L {
 
   /** The four distributed value profiles of a set of columns, returned as
     * driver maps keyed by column. One scan per profile type, mirroring D3L's
-    * per-index design.
+    * per-index design: MinHash minima and mean embeddings are per-column
+    * folds ([[MinHashProfiler.signatures]], [[ColumnEmbedder.columnMeans]]),
+    * formats and numeric statistics are DataFrame aggregates.
     */
   private def valueProfiles(
       spark: SparkSession, values: DataFrame,
       profiler: MinHashProfiler, model: EmbeddingModel,
-  ): (Map[String, Array[Double]], Map[String, Array[Double]], Map[String, Map[String, Double]], Map[String, (Double, Double, Double)]) = {
-    def keyOf(r: org.apache.spark.sql.Row): String =
-      ColumnId(r.getString(0), r.getString(1), r.getString(2)).key
+  ): (Map[ColumnId, Array[Double]], Map[ColumnId, Array[Double]], Map[ColumnId, Map[String, Double]], Map[ColumnId, (Double, Double, Double)]) = {
+    def idOf(r: org.apache.spark.sql.Row): ColumnId =
+      ColumnId(r.getString(0), r.getString(1), r.getString(2))
 
-    val mh = profiler.signatures(values).collect()
-      .map(r => keyOf(r) -> r.getAs[Vector]("sig").toArray).toMap
+    val mh = profiler.signatures(values).map(s => s.id -> s.acc).toMap
 
-    val emb = ColumnEmbedder.columnMeans(values, model).map(m => m.id.key -> m.vec).toMap
+    val emb = ColumnEmbedder.columnMeans(values, model).map(m => m.id -> m.vec).toMap
 
     val patUdf = udf { (v: String) => formatPattern(v) }
     val fmt = values.withColumn("pat", patUdf(col("value")))
       .groupBy("database", "table", "column", "pat").count()
       .collect()
-      .groupBy(keyOf)
+      .groupBy(idOf)
       .map { case (k, rows) =>
         val total = rows.map(_.getLong(4)).sum.toDouble
         k -> rows.sortBy(-_.getLong(4)).take(10)
@@ -159,7 +159,7 @@ object D3L {
         val frac = if (r.getLong(3) == 0) 0.0 else r.getLong(4).toDouble / r.getLong(3)
         val mn   = if (r.isNullAt(5)) 0.0 else r.getDouble(5)
         val mx   = if (r.isNullAt(6)) 0.0 else r.getDouble(6)
-        keyOf(r) -> ((frac, mn, mx))
+        idOf(r) -> ((frac, mn, mx))
       }.toMap
 
     (mh, emb, fmt, num)
@@ -168,8 +168,8 @@ object D3L {
   private def profileValues(spark: SparkSession, values: DataFrame, id: ColumnId,
                             profiler: MinHashProfiler, model: EmbeddingModel): Profile = {
     val (mh, emb, fmt, num) = valueProfiles(spark, values, profiler, model)
-    val (frac, mn, mx) = num(id.key)
-    Profile(id, Tokenizer.qgrams(id.column), mh(id.key), emb(id.key), fmt(id.key), frac, mn, mx)
+    val (frac, mn, mx) = num(id)
+    Profile(id, Tokenizer.qgrams(id.column), mh(id), emb(id), fmt(id), frac, mn, mx)
   }
 
   /** Full-scan indexing pass over the corpus (D3L profiles with a full scan,
@@ -184,11 +184,11 @@ object D3L {
     values.unpersist()
 
     val profiles = corpus.columnIds.map { id =>
-      val (frac, mn, mx) = num.getOrElse(id.key, (0.0, 0.0, 0.0))
+      val (frac, mn, mx) = num.getOrElse(id, (0.0, 0.0, 0.0))
       Profile(id, Tokenizer.qgrams(id.column),
-        mh.getOrElse(id.key, new Array[Double](numHashes)),
-        emb.getOrElse(id.key, new Array[Double](model.dim)),
-        fmt.getOrElse(id.key, Map.empty), frac, mn, mx)
+        mh.getOrElse(id, new Array[Double](numHashes)),
+        emb.getOrElse(id, new Array[Double](model.dim)),
+        fmt.getOrElse(id, Map.empty), frac, mn, mx)
     }.toVector
     new Index(profiles, profiler, model)
   }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.ml.linalg.{SQLDataTypes, Vectors}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
-import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Mean value vector of one column, over `nValues` cells. */
@@ -13,11 +12,10 @@ final case class ColumnMean(id: ColumnId, vec: Array[Double], nValues: Long)
   * cells' value vectors under the embedding model.
   *
   * One accumulator computes every such mean: a primitive `Array[Double]` sum
-  * plus a count. Distributed, [[columnMeans]] runs it as a `mapPartitions`
-  * over melted (database, table, column, value) rows — one partial per
-  * column per partition — and the driver merges the partials in partition
-  * order, so a vector does not depend on task scheduling. That is one Spark
-  * job with no shuffle. On the driver, [[embedValuesLocal]] runs the same
+  * ([[SumFold]]) plus a count. Distributed, [[columnMeans]] runs it with
+  * [[ColumnValues.foldColumns]] over melted (database, table, column, value)
+  * rows: one shuffle-free Spark job whose partials the driver merges in
+  * partition order. On the driver, [[embedValuesLocal]] runs the same
   * accumulator over a value batch (the sampled index and query paths).
   *
   * The model is closure-serialized to executors and keeps a JVM-wide token
@@ -25,37 +23,25 @@ final case class ColumnMean(id: ColumnId, vec: Array[Double], nValues: Long)
   */
 object ColumnEmbedder {
 
-  /** Running sum of value vectors and their count. */
-  private final class MeanAcc(dim: Int) {
-    val sum = new Array[Double](dim)
-    var n   = 0L
-    def add(value: String, model: EmbeddingModel): Unit = {
-      VectorOps.addInPlace(sum, model.embedValue(value)); n += 1
-    }
-    def merge(sum2: Array[Double], n2: Long): Unit = { VectorOps.addInPlace(sum, sum2); n += n2 }
-    /** The mean, in place; the zero vector when nothing was added. */
-    def mean: Array[Double] = { if (n > 0) VectorOps.scaleInPlace(sum, 1.0 / n); sum }
+  /** Running sum of value vectors. */
+  private final class SumFold(model: EmbeddingModel) extends ColumnFold[Array[Double]] {
+    def zero(): Array[Double] = new Array[Double](model.dim)
+    def add(sum: Array[Double], value: String): Unit = VectorOps.addInPlace(sum, model.embedValue(value))
+    def merge(sum: Array[Double], partial: Array[Double]): Unit = VectorOps.addInPlace(sum, partial)
+  }
+
+  /** The mean, in place; the zero vector when nothing was added. */
+  private def mean(sum: Array[Double], n: Long): Array[Double] = {
+    if (n > 0) VectorOps.scaleInPlace(sum, 1.0 / n)
+    sum
   }
 
   /** Per-column mean vectors of melted (database, table, column, value)
     * rows, in order of each column's first partial.
     */
-  def columnMeans(values: DataFrame, model: EmbeddingModel): Array[ColumnMean] = {
-    val dim = model.dim
-    val partials = values.select("database", "table", "column", "value").rdd
-      .mapPartitions { rows =>
-        val accs = mutable.LinkedHashMap[ColumnId, MeanAcc]()
-        rows.foreach { r =>
-          val id = ColumnId(r.getString(0), r.getString(1), r.getString(2))
-          accs.getOrElseUpdate(id, new MeanAcc(dim)).add(r.getString(3), model)
-        }
-        accs.iterator.map { case (id, a) => (id, a.sum, a.n) }
-      }
-      .collect()
-    val merged = mutable.LinkedHashMap[ColumnId, MeanAcc]()
-    partials.foreach { case (id, sum, n) => merged.getOrElseUpdate(id, new MeanAcc(dim)).merge(sum, n) }
-    merged.iterator.map { case (id, a) => ColumnMean(id, a.mean, a.n) }.toArray
-  }
+  def columnMeans(values: DataFrame, model: EmbeddingModel): Array[ColumnMean] =
+    ColumnValues.foldColumns(values, new SumFold(model))
+      .map(c => ColumnMean(c.id, mean(c.acc, c.nValues), c.nValues))
 
   /** [[columnMeans]] as a DataFrame (database, table, column, vec: ml.Vector,
     * nValues), computed eagerly.
@@ -74,11 +60,8 @@ object ColumnEmbedder {
   /** Driver-side mean of a small value batch — the sampled index and query
     * paths (§4.4), where shipping a Spark job per query would dwarf the work.
     */
-  def embedValuesLocal(values: Iterable[String], model: EmbeddingModel): Array[Double] = {
-    val acc = new MeanAcc(model.dim)
-    values.foreach(acc.add(_, model))
-    acc.mean
-  }
+  def embedValuesLocal(values: Iterable[String], model: EmbeddingModel): Array[Double] =
+    mean(new SumFold(model).local(values), values.size)
 
   /** Mean vector of one column computed with a (timed) Spark scan — the
     * full-value query path whose load+inference cost Table 2 measures. An

@@ -8,18 +8,11 @@ package repro.core
   * name must travel with the column identity.
   */
 final case class ColumnId(database: String, table: String, column: String) {
-  /** Stable flat key used in DataFrames and driver-side maps. */
+  /** Flat key for display and ordering. Not unique when names contain `.`:
+    * `ColumnId("a", "b.c", "d")` and `ColumnId("a", "b", "c.d")` share it.
+    */
   def key: String = s"$database.$table.$column"
   override def toString: String = key
-}
-
-object ColumnId {
-  /** Inverse of [[ColumnId.key]]; keys are built from names without dots. */
-  def fromKey(key: String): ColumnId = {
-    val parts = key.split('.')
-    require(parts.length == 3, s"malformed column key: $key")
-    ColumnId(parts(0), parts(1), parts(2))
-  }
 }
 
 /** One ranked answer of a discovery query. */

@@ -2,8 +2,29 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
-/** Wide-to-long "melt" of a table into per-column value rows.
+/** How one column's cell values fold into a mutable accumulator `A`: a fresh
+  * `zero`, `add` of one cell, and `merge` of another partial into it.
+  */
+trait ColumnFold[A] extends Serializable {
+  def zero(): A
+  def add(acc: A, value: String): Unit
+  def merge(acc: A, partial: A): Unit
+
+  /** The fold of a value batch on the driver. */
+  final def local(values: Iterable[String]): A = {
+    val acc = zero()
+    values.foreach(add(acc, _))
+    acc
+  }
+}
+
+/** A column's folded accumulator, over `nValues` cells. */
+final case class FoldedColumn[A](id: ColumnId, acc: A, nValues: Long)
+
+/** Wide-to-long "melt" of a table into per-column value rows, and the one
+  * per-column fold over them ([[foldColumns]]).
   *
   * Profiling in WarpGate (and both baselines) is column-oriented: every
   * downstream stage (sampling, embedding, MinHash) consumes a stream of
@@ -41,6 +62,35 @@ object ColumnValues {
       lit(id.column).as("column"),
       src.col(quoted(id.column)).cast("string").as("value"),
     )
+  }
+
+  /** Fold every column of melted (database, table, column, value) rows with
+    * `fold`: a `mapPartitions` keeps one partial per column per partition,
+    * and the driver merges the partials into a fresh `zero` in partition
+    * order, so the result does not depend on task scheduling. One Spark job,
+    * no shuffle. Columns come back in order of their first partial.
+    */
+  def foldColumns[A](values: DataFrame, fold: ColumnFold[A]): Array[FoldedColumn[A]] = {
+    val partials = values.select("database", "table", "column", "value").rdd
+      .mapPartitions { rows =>
+        val accs = mutable.LinkedHashMap[ColumnId, Partial[A]]()
+        rows.foreach { r =>
+          val id = ColumnId(r.getString(0), r.getString(1), r.getString(2))
+          accs.getOrElseUpdate(id, new Partial(fold.zero())).add(fold, r.getString(3))
+        }
+        accs.iterator
+      }
+      .collect()
+    val merged = mutable.LinkedHashMap[ColumnId, Partial[A]]()
+    partials.foreach { case (id, p) => merged.getOrElseUpdate(id, new Partial(fold.zero())).merge(fold, p) }
+    merged.iterator.map { case (id, p) => FoldedColumn(id, p.acc, p.n) }.toArray
+  }
+
+  /** One column's accumulator and its cell count. */
+  private final class Partial[A](val acc: A) extends Serializable {
+    var n = 0L
+    def add(fold: ColumnFold[A], value: String): Unit = { fold.add(acc, value); n += 1 }
+    def merge(fold: ColumnFold[A], p: Partial[A]): Unit = { fold.merge(acc, p.acc); n += p.n }
   }
 
   /** A column name as a backtick-quoted identifier, so names containing `.`

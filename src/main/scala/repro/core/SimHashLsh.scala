@@ -79,17 +79,6 @@ final class SimHashLsh(val dim: Int, val cfg: LshConfig) extends Serializable {
     out
   }
 
-  /** Cosine similarity estimated from signature bits alone: cos(pi * d/bits)
-    * where d is the Hamming distance — used in property tests and available
-    * for probe-only ranking.
-    */
-  def estimateCosine(a: Array[Boolean], b: Array[Boolean]): Double = {
-    require(a.length == b.length)
-    var d = 0; var i = 0
-    while (i < a.length) { if (a(i) != b(i)) d += 1; i += 1 }
-    math.cos(math.Pi * d.toDouble / a.length)
-  }
-
   /** Column expression computing band hashes of an ml.Vector column. */
   def bandHashesUdf: Column => Column = {
     val self = this

@@ -49,22 +49,6 @@ object Tokenizer {
     s.nonEmpty
   }
 
-  /** Character n-grams (inclusive range) of a token padded with boundary
-    * markers, fastText-style. Tokens shorter than `lo` yield the padded token
-    * itself so nothing embeds to the zero vector.
-    */
-  def charNgrams(token: String, lo: Int = 3, hi: Int = 5): Seq[String] = {
-    val padded = "<" + token + ">"
-    val out    = new ArrayBuffer[String](padded.length * 2)
-    var n      = lo
-    while (n <= hi) {
-      var i = 0
-      while (i + n <= padded.length) { out += padded.substring(i, i + n); i += 1 }
-      n += 1
-    }
-    if (out.isEmpty) Seq(padded) else out.toSeq
-  }
-
   /** Q-grams of a whole string (used by D3L's name-similarity evidence). */
   def qgrams(s: String, q: Int = 3): Set[String] = {
     val norm   = s.toLowerCase.replaceAll("[^a-z0-9]+", " ").trim

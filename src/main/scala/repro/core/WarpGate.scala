@@ -24,8 +24,8 @@ final case class QueryTiming(loadEmbedMs: Double, lookupMs: Double) {
   def totalMs: Double = loadEmbedMs + lookupMs
 }
 
-/** The built index: column embeddings + SimHash buckets held as driver
-  * arrays — the in-memory LSH index the paper's system holds. Every search,
+/** The built index: column embeddings + SimHash buckets ([[BandIndex]]) held
+  * on the driver — the in-memory LSH index the paper's system holds. Every search,
   * interactive or batch evaluation, goes through one probe: [[lookup]] for a
   * query vector, [[lookupIndexed]] for a column the index holds.
   */
@@ -47,22 +47,7 @@ final class WarpGateIndex(
   private val hashes: Array[Array[Int]] = vectors.map(lsh.bandHashes)
   private val norms: Array[Double]      = vectors.map(VectorOps.norm)
 
-  /** bucket key (band, hash) -> column indices */
-  private val buckets: mutable.LongMap[Array[Int]] = {
-    val m = new mutable.LongMap[mutable.ArrayBuilder.ofInt]()
-    var i = 0
-    while (i < columns.length) {
-      var b = 0
-      while (b < hashes(i).length) {
-        m.getOrElseUpdate(bucketKey(b, hashes(i)(b)), new mutable.ArrayBuilder.ofInt) += i
-        b += 1
-      }
-      i += 1
-    }
-    m.mapValuesNow(_.result())
-  }
-
-  private def bucketKey(band: Int, hash: Int): Long = (band.toLong << 32) | (hash.toLong & 0xffffffffL)
+  private val bands = new BandIndex(hashes)
 
   /** Candidate keys, the tie-break of equal scores in [[lookup]]. */
   private val keys: Array[String] = columns.map(_.key)
@@ -96,28 +81,16 @@ final class WarpGateIndex(
     */
   private def probe(qHashes: Array[Int], queryVec: Array[Double], qNorm: Double, query: ColumnId,
                     k: Int, sameDatabaseOnly: Boolean): Seq[SearchResult] = {
-    val seen = new java.util.BitSet(columns.length)
     val hits = new mutable.ArrayBuffer[(Int, Double)]()
-    var b = 0
-    while (b < qHashes.length) {
-      val ids = buckets.getOrNull(bucketKey(b, qHashes(b)))
-      var j = 0
-      while (ids != null && j < ids.length) {
-        val i = ids(j)
-        if (!seen.get(i)) {
-          seen.set(i)
-          val c = columns(i)
-          val inScope = !(c.database == query.database && c.table == query.table) &&
-            (!sameDatabaseOnly || c.database == query.database)
-          if (inScope) {
-            val s = if (qNorm == 0.0 || norms(i) == 0.0) 0.0
-                    else VectorOps.dot(queryVec, vectors(i)) / (qNorm * norms(i))
-            if (s >= config.threshold) hits += ((i, s))
-          }
-        }
-        j += 1
+    bands.foreachCandidate(qHashes) { i =>
+      val c = columns(i)
+      val inScope = !(c.database == query.database && c.table == query.table) &&
+        (!sameDatabaseOnly || c.database == query.database)
+      if (inScope) {
+        val s = if (qNorm == 0.0 || norms(i) == 0.0) 0.0
+                else VectorOps.dot(queryVec, vectors(i)) / (qNorm * norms(i))
+        if (s >= config.threshold) hits += ((i, s))
       }
-      b += 1
     }
     hits.sortInPlaceWith { case ((i, s), (j, t)) => s > t || (s == t && keys(i) < keys(j)) }
     hits.take(k).map { case (i, s) => SearchResult(query, columns(i), s) }.toSeq

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.TestCorpora
-import repro.core.ColumnId
+import repro.core.{ColumnId, Corpus, CorpusTable}
 
 class AurumSpec extends SparkSpec {
 
@@ -43,7 +43,7 @@ class AurumSpec extends SparkSpec {
     val (res, _) = index.query(qCompany, 10)
     res.foreach { r =>
       val est = index.profiler.estimateJaccard(
-        index.signatures(qCompany.key), index.signatures(r.candidate.key))
+        index.signatures(qCompany), index.signatures(r.candidate))
       assert(math.abs(r.score - est) < 1e-12)
     }
   }
@@ -100,5 +100,69 @@ class AurumSpec extends SparkSpec {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     Aurum.build(spark, corpus)
     assert(spark.sparkContext.getPersistentRDDs.keySet -- before == Set.empty)
+  }
+
+  test("the graph equals a brute force over all banded cross-table pairs") {
+    val cfg  = index.config
+    val sigs = index.signatures.toSeq
+    val bands = sigs.map { case (id, sig) => id -> Aurum.bandHashes(sig, cfg) }.toMap
+    val want = (for {
+      (a, sa) <- sigs
+      (b, sb) <- sigs
+      if !(a.database == b.database && a.table == b.table)
+      if bands(a).indices.exists(i => bands(a)(i) == bands(b)(i))
+      est = index.profiler.estimateJaccard(sa, sb)
+      if est >= cfg.threshold
+    } yield (a, b, est)).groupBy(_._1).map { case (a, es) =>
+      a -> es.map { case (_, b, w) => (b, w) }.sortBy { case (b, w) => (-w, b.key) }
+    }
+    assert(sigs.size == spec.tables.map(_.columns.size).sum)
+    assert(index.graph == want)
+  }
+
+  test("equal-weight neighbours come back in candidate key order") {
+    import spark.implicits._
+    val names = (0 until 50).map(i => s"Company $i")
+    val corpus = Corpus("ties", Seq(
+      CorpusTable("db", "query", names.toDF("name")),
+      CorpusTable("db", "zeta", names.reverse.toDF("name")),
+      CorpusTable("db", "alpha", names.toDF("name")),
+    ))
+    val ix = Aurum.build(spark, corpus)
+    val res = ix.query(ColumnId("db", "query", "name"), 5)._1
+    assert(res.map(_.score) == Seq(1.0, 1.0))
+    assert(res.map(_.candidate) == Seq(ColumnId("db", "alpha", "name"), ColumnId("db", "zeta", "name")))
+  }
+
+  test("a column name containing a dot is profiled and linked") {
+    import spark.implicits._
+    val names  = Seq("Acme Corp", "Globex Inc", "Initech LLC", "Umbrella Co")
+    val dotted = ColumnId("db", "left", "a.b")
+    val plain  = ColumnId("db", "right", "org")
+    val corpus = Corpus("dots", Seq(
+      CorpusTable("db", "left", names.toDF("a.b")),
+      CorpusTable("db", "right", names.reverse.toDF("org")),
+    ))
+    val ix = Aurum.build(spark, corpus)
+    assert(ix.signatures.keySet == Set(dotted, plain))
+    assert(ix.query(plain, 5)._1.map(_.candidate) == Seq(dotted))
+    assert(ix.query(dotted, 5)._1.map(_.candidate) == Seq(plain))
+  }
+
+  test("columns whose dotted keys collide keep their own signatures") {
+    import spark.implicits._
+    val left   = ColumnId("a", "b.c", "d")
+    val right  = ColumnId("a", "b", "c.d")
+    val lefts  = Seq("Acme Corp", "Globex Inc")
+    val rights = Seq("Paris", "Lyon", "Nice")
+    assert(left.key == right.key)
+    val corpus = Corpus("collide", Seq(
+      CorpusTable("a", "b.c", lefts.toDF("d")),
+      CorpusTable("a", "b", rights.toDF("c.d")),
+    ))
+    val ix = Aurum.build(spark, corpus)
+    assert(ix.signatures.size == 2)
+    assert(ix.signatures(left).toSeq == ix.profiler.signatureLocal(lefts).toSeq)
+    assert(ix.signatures(right).toSeq == ix.profiler.signatureLocal(rights).toSeq)
   }
 }

@@ -52,7 +52,7 @@ class D3LSpec extends SparkSpec {
   }
 
   test("profiles carry all five evidence inputs") {
-    val p = index.byKey(qCompany.key)
+    val p = index.byId(qCompany)
     assert(p.nameQgrams.nonEmpty)
     assert(p.minhash.length == 128)
     assert(p.embedding.length == index.model.dim)
@@ -61,9 +61,9 @@ class D3LSpec extends SparkSpec {
   }
 
   test("numeric profile detects numeric columns") {
-    val amount = index.byKey(ColumnId("dbA", "accounts", "amount").key)
+    val amount = index.byId(ColumnId("dbA", "accounts", "amount"))
     assert(amount.numericFrac > 0.9)
-    val company = index.byKey(qCompany.key)
+    val company = index.byId(qCompany)
     assert(company.numericFrac < 0.2)
   }
 
@@ -76,15 +76,15 @@ class D3LSpec extends SparkSpec {
   }
 
   test("score is symmetric") {
-    val a = index.byKey(qCompany.key)
-    val b = index.byKey(ColumnId("dbA", "leads", "firm").key)
+    val a = index.byId(qCompany)
+    val b = index.byId(ColumnId("dbA", "leads", "firm"))
     assert(math.abs(index.score(a, b) - index.score(b, a)) < 1e-12)
   }
 
   test("cluster pairs score higher than cross-domain pairs") {
-    val q    = index.byKey(qCompany.key)
-    val firm = index.byKey(ColumnId("dbA", "leads", "firm").key)
-    val date = index.byKey(ColumnId("dbA", "accounts", "created_at").key)
+    val q    = index.byId(qCompany)
+    val firm = index.byId(ColumnId("dbA", "leads", "firm"))
+    val date = index.byId(ColumnId("dbA", "accounts", "created_at"))
     assert(index.score(q, firm) > index.score(q, date))
   }
 

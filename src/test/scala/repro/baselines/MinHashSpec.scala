@@ -77,22 +77,25 @@ class MinHashSpec extends SparkSpec {
 
   test("distributed signatures equal local signatures") {
     val (corpus, _) = repro.TestCorpora.tiny(spark)
-    val sigDf = profiler.signatures(corpus.meltAll(None))
-    val row = sigDf.filter(col("table") === "leads" && col("column") === "firm").collect()(0)
-    val distributed = MinHashProfiler.sigOf(row)
-
-    val values = corpus.table("dbA", "leads").df
-      .select(col("firm").cast("string")).collect().map(_.getString(0))
-    val local = profiler.signatureLocal(values.toSeq)
-    assert(distributed.toSeq == local.toSeq)
+    val melt  = corpus.meltAll(None)
+    val local = corpus.tables.flatMap { t =>
+      t.df.columns.map { c =>
+        ColumnId(t.database, t.table, c) ->
+          profiler.signatureLocal(t.df.select(col(c).cast("string")).collect().map(_.getString(0)).toSeq)
+      }
+    }.toMap
+    Seq(melt.coalesce(1), melt.repartition(4)).foreach { values =>
+      val sigs = profiler.signatures(values)
+      assert(sigs.map(_.id).toSet == local.keySet)
+      sigs.foreach(s => assert(s.acc.toSeq == local(s.id).toSeq, s.id))
+    }
   }
 
-  test("signatures dataframe has one row per column with counts") {
+  test("signatures have one entry per column with counts") {
     val (corpus, spec) = repro.TestCorpora.tiny(spark)
-    val sigDf = profiler.signatures(corpus.meltAll(None))
-    assert(sigDf.count() == spec.tables.map(_.columns.size).sum)
-    val n = sigDf.filter(col("table") === "accounts" && col("column") === "company")
-      .select("nValues").collect()(0).getLong(0)
+    val sigs = profiler.signatures(corpus.meltAll(None))
+    assert(sigs.length == spec.tables.map(_.columns.size).sum)
+    val n = sigs.find(_.id == ColumnId("dbA", "accounts", "company")).get.nValues
     assert(n == 400)
   }
 

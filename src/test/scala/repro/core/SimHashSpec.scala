@@ -92,15 +92,6 @@ class SimHashSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
-  test("estimateCosine inverts the bit-agreement relation") {
-    val fine = new SimHashLsh(dim, LshConfig(bands = 125, rowsPerBand = 8))
-    forAllVectors(dim, n = 15) { a =>
-      val b   = a.map(x => x + 0.4)
-      val est = fine.estimateCosine(fine.signatureBits(a), fine.signatureBits(b))
-      assertApprox(est, VectorOps.cosine(a, b), 0.15, "estimateCosine")
-    }
-  }
-
   test("similar vectors collide in at least one band almost surely") {
     val rnd = new Random(11)
     var collisions = 0

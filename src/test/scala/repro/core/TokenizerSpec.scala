@@ -80,27 +80,6 @@ class TokenizerSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
-  test("charNgrams covers the padded token for length-3 windows") {
-    assert(Tokenizer.charNgrams("ab", 3, 3) == Seq("<ab", "ab>"))
-  }
-
-  test("charNgrams includes all window sizes in range") {
-    val grams = Tokenizer.charNgrams("abc", 3, 5)
-    assert(grams.contains("<ab") && grams.contains("abc") && grams.contains("bc>"))
-    assert(grams.contains("<abc") && grams.contains("abc>"))
-    assert(grams.contains("<abc>"))
-  }
-
-  test("charNgrams of a single char yields the padded token") {
-    assert(Tokenizer.charNgrams("a", 3, 5).contains("<a>"))
-  }
-
-  test("shared substrings produce shared ngrams") {
-    val a = Tokenizer.charNgrams("bacon").toSet
-    val b = Tokenizer.charNgrams("baconx").toSet
-    assert(a.intersect(b).nonEmpty)
-  }
-
   test("qgrams normalizes case and punctuation") {
     assert(Tokenizer.qgrams("Company-Name") == Tokenizer.qgrams("company name"))
   }

@@ -248,13 +248,4 @@ class WarpGateSpec extends SparkSpec {
     val tight  = strict.lookup(vec, qCompany, 10)
     assert(tight.size <= loose.size)
   }
-
-  test("ColumnId key round-trips") {
-    val id = ColumnId("db1", "some table", "Company Name")
-    assert(ColumnId.fromKey(id.key) == id)
-  }
-
-  test("ColumnId.fromKey rejects malformed keys") {
-    intercept[IllegalArgumentException](ColumnId.fromKey("only.two"))
-  }
 }
